@@ -59,6 +59,7 @@ from repro.dist.protocol import (
     parse_address,
     recv_message,
     send_message,
+    set_nodelay,
 )
 from repro.errors import DistError, DistTimeoutError, ParameterError
 from repro.parallel.blocks import (
@@ -363,6 +364,7 @@ class Dispatcher:
             )
             return None
         try:
+            set_nodelay(conn)
             send_message(conn, (MSG_PING,))
             reply = recv_message(conn, self._connect_timeout_s)
             if reply[0] != MSG_PONG or reply[1] != PROTOCOL_VERSION:

@@ -23,6 +23,7 @@ from repro.dist.protocol import (
     parse_address,
     recv_message,
     send_message,
+    set_nodelay,
 )
 from repro.errors import DistError, ParameterError
 
@@ -64,6 +65,8 @@ def probe_link_overhead(
         )
     payload = b"\x00" * payload_bytes
     try:
+        # Measure the link the dispatcher actually uses: same options.
+        set_nodelay(conn)
         samples = []
         for _ in range(repeats):
             started = time.perf_counter()
@@ -75,6 +78,10 @@ def probe_link_overhead(
                 )
             samples.append(time.perf_counter() - started)
         return statistics.median(samples)
+    except (OSError, EOFError) as exc:
+        raise DistError(
+            f"worker {address} dropped the link-overhead probe ({exc})"
+        )
     finally:
         conn.close()
 

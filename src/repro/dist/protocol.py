@@ -27,10 +27,25 @@ polls with a deadline before touching ``Connection.recv`` — a dead or
 wedged peer surfaces as :class:`~repro.errors.DistTimeoutError`
 instead of a forever-blocked dispatcher (lint rule L005 enforces this
 pattern for all dist code).
+
+Every connection runs with ``TCP_NODELAY`` (:func:`set_nodelay`, on the
+dispatcher, worker and probe sockets alike).  The protocol has two
+write-write-read patterns, and under Nagle's algorithm each one holds
+the second small write until the peer's delayed ACK of the first
+(~40 ms on Linux):
+
+* **connect** — the client's last authkey-handshake write
+  (``#WELCOME#``) is followed at once by ``("ping",)``, one stall per
+  host on every ``Dispatcher`` construction;
+* **block stream** — a worker sends ``("block", ...)`` after
+  ``("block", ...)`` with no read between them, and each lane block's
+  pickle is smaller than a loopback segment, so block *k+1* waits for
+  the ACK of block *k*.
 """
 
 from __future__ import annotations
 
+import socket
 import time
 
 from repro.errors import DistError, DistTimeoutError
@@ -125,6 +140,20 @@ def parse_address(address: str) -> tuple[str, int]:
 
 def format_address(address: tuple[str, int]) -> str:
     return f"{address[0]}:{address[1]}"
+
+
+def set_nodelay(conn) -> None:
+    """Disable Nagle's algorithm on a connected ``Connection``.
+
+    The option lives on the socket, not the descriptor, so setting it
+    through a ``fromfd`` duplicate (closed on exit) configures ``conn``
+    itself.  An ``OSError`` (a peer that reset right after the
+    handshake) propagates to the caller, which owns the connection.
+    """
+    with socket.fromfd(
+        conn.fileno(), socket.AF_INET, socket.SOCK_STREAM
+    ) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def send_message(conn, message: tuple) -> None:

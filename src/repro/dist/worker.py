@@ -40,6 +40,7 @@ from repro.dist.protocol import (
     format_address,
     recv_message,
     send_message,
+    set_nodelay,
 )
 from repro.parallel.blocks import iter_shard_blocks
 
@@ -144,7 +145,12 @@ class WorkerAgent:
             with self._conn_lock:
                 self._active_conn = conn
             try:
+                set_nodelay(conn)
                 self._handle(conn)
+            except (OSError, EOFError) as exc:
+                # A peer that reset (before the socket option took, or
+                # mid-stream) costs only its own connection.
+                _log.warning("dispatcher connection dropped: %s", exc)
             finally:
                 with self._conn_lock:
                     self._active_conn = None

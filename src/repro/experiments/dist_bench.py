@@ -9,8 +9,11 @@ socket directions, block reassembly) from real network latency:
 
 * **single vs pooled vs dispatched** — the same workload through the
   in-process :func:`~repro.batch.sweep.run_batch_series`, the local
-  sharded pool, and :func:`~repro.dist.dispatch.run_distributed` over
-  the localhost fleet;
+  sharded pool, and a :class:`~repro.dist.dispatch.Dispatcher` over the
+  localhost fleet, its cost split into layers: ``dispatch_connect``
+  (constructing the dispatcher: connect, authkey handshake, ping) and
+  ``dispatch_run`` (``run_jobs``: ship specs, stream blocks,
+  reassemble);
 * **chunk-size sweep** — the dispatched run at a ladder of
   ``chunk_lanes`` values, recording wall time *and* the dispatcher's
   peak resident result-buffer bytes (:class:`~repro.parallel.blocks.
@@ -79,7 +82,7 @@ def run(
     ``chunk_lanes`` values the streamed sweep visits (``None``: one
     unchunked block per shard).
     """
-    from repro.dist import WorkerAgent, probe_link_overhead, run_distributed
+    from repro.dist import WorkerAgent, probe_link_overhead
     from repro.dist.dispatch import Dispatcher
 
     family = list_families()[0]
@@ -117,18 +120,17 @@ def run(
             for address in hosts
         }
 
-        # -- dispatched, unchunked -------------------------------------
-        dispatched_seconds, dispatched = _timed(
-            lambda: run_distributed(
-                spec,
-                scenario=scenario,
-                h_max=h_max,
-                driver_step=step,
-                hosts=hosts,
-                n_workers=n_agents,
-            ),
-            repeats,
-        )
+        # -- dispatched, unchunked: connect and run timed apart --------
+        job = prepare_job(spec, drive, n_agents, 1)
+        connect_seconds = run_seconds = float("inf")
+        for _ in range(max(1, repeats)):
+            seconds, dispatcher = _timed(lambda: Dispatcher(hosts))
+            connect_seconds = min(connect_seconds, seconds)
+            with dispatcher:
+                seconds, (dispatched,) = _timed(
+                    lambda: dispatcher.run_jobs([job])
+                )
+            run_seconds = min(run_seconds, seconds)
 
         # -- chunk-size sweep over one shared fleet --------------------
         chunk_rows: list[dict] = []
@@ -156,12 +158,13 @@ def run(
         for agent in agents:
             agent.stop()
 
-    dispatch_overhead = dispatched_seconds - pooled_seconds
+    dispatch_overhead = connect_seconds + run_seconds - pooled_seconds
     median_link = sorted(link_overheads.values())[len(link_overheads) // 2]
     rows = [
         {"op": "single", "n": n_cores, "seconds": single_seconds},
         {"op": "pooled", "n": n_cores, "seconds": pooled_seconds},
-        {"op": "dispatched", "n": n_cores, "seconds": dispatched_seconds},
+        {"op": "dispatch_connect", "n": n_agents, "seconds": connect_seconds},
+        {"op": "dispatch_run", "n": n_cores, "seconds": run_seconds},
         {"op": "link_probe", "n": n_agents, "seconds": median_link},
     ] + [
         {key: row[key] for key in ("op", "n", "seconds")}
@@ -178,7 +181,8 @@ def run(
     table.add_row("single", "-", single_seconds, "-", "ref")
     table.add_row("pooled", "-", pooled_seconds, "-",
                   "yes" if _bitwise(single, pooled) else "NO")
-    table.add_row("dispatched", "-", dispatched_seconds, "-",
+    table.add_row("dispatch_connect", "-", connect_seconds, "-", "-")
+    table.add_row("dispatch_run", "-", run_seconds, "-",
                   "yes" if _bitwise(single, dispatched) else "NO")
     for row in chunk_rows:
         table.add_row(
@@ -195,7 +199,8 @@ def run(
         f"measured link overhead (echo round trip, localhost): "
         f"{median_link * 1e3:.3f} ms median over {n_agents} agent(s) — "
         "the planner's link_overhead_s pricing input",
-        f"dispatch vs local pool: {dispatch_overhead:+.3f} s at "
+        f"dispatch (connect + run) vs local pool: "
+        f"{dispatch_overhead:+.3f} s at "
         f"N = {n_cores} (localhost sockets isolate protocol cost; a "
         "real fleet trades this against remote cores)",
         "smaller chunk_lanes lowers the dispatcher's peak resident "
@@ -214,7 +219,8 @@ def run(
         "backend": resolve_backend(None).name,
         "single_seconds": single_seconds,
         "pooled_seconds": pooled_seconds,
-        "dispatched_seconds": dispatched_seconds,
+        "dispatch_connect_seconds": connect_seconds,
+        "dispatch_run_seconds": run_seconds,
         "dispatch_overhead_seconds": dispatch_overhead,
         "link_overheads": link_overheads,
         "link_overhead_s": median_link,

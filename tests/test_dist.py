@@ -11,7 +11,11 @@ numerics change.
 
 import dataclasses
 import logging
+import socket
+import subprocess
+import sys
 import threading
+from multiprocessing.connection import Client
 
 import numpy as np
 import pytest
@@ -28,10 +32,14 @@ from repro.dist import (
     shard_digest,
 )
 from repro.dist.protocol import (
+    MSG_PING,
+    MSG_PONG,
+    MSG_RUN,
     format_address,
     parse_address,
     recv_message,
     send_message,
+    set_nodelay,
 )
 from repro.errors import DistError, DistTimeoutError, ParameterError
 from repro.parallel import (
@@ -44,6 +52,7 @@ from repro.parallel import (
 )
 from repro.parallel.blocks import assemble_blocks, run_spec
 from repro.parallel.executor import prepare_job
+from repro.parallel.spec import DriveSpec
 from repro.sched import CostModel, ExecutionPlan, enumerate_candidates
 from repro.scenarios import scenario_samples
 
@@ -170,8 +179,6 @@ class TestLaneBlocks:
 
 
 def _drive():
-    from repro.parallel.spec import DriveSpec
-
     return DriveSpec(
         scenario="major-loop", h_max=H_MAX, driver_step=STEP
     )
@@ -501,10 +508,190 @@ class TestPlannerPlacement:
         assert all(c.predicted_seconds is not None for c in candidates)
 
 
+def _nodelay(conn) -> int:
+    with socket.fromfd(
+        conn.fileno(), socket.AF_INET, socket.SOCK_STREAM
+    ) as sock:
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def _ping(address: str):
+    conn = Client(
+        parse_address(address), family="AF_INET", authkey=DEFAULT_AUTHKEY
+    )
+    try:
+        send_message(conn, (MSG_PING,))
+        return recv_message(conn, 5.0)
+    finally:
+        conn.close()
+
+
+class TestNoDelay:
+    """Every dist socket runs with Nagle off.  Pinned on the socket
+    option itself, never on timing, so the suite's verdict cannot
+    depend on host noise."""
+
+    def test_dispatcher_and_agent_connections_set_nodelay(self):
+        with WorkerAgent() as a, WorkerAgent() as b:
+            with Dispatcher([a.address, b.address]) as dispatcher:
+                assert dispatcher.n_live == 2
+                for conn in dispatcher._workers.values():
+                    assert _nodelay(conn) == 1
+                # The pong proves each agent is past set_nodelay.
+                for agent in (a, b):
+                    assert _nodelay(agent._active_conn) == 1
+
+    def test_probe_connection_sets_nodelay(self, fleet, monkeypatch):
+        seen = []
+
+        def spy(conn):
+            set_nodelay(conn)
+            seen.append(_nodelay(conn))
+
+        monkeypatch.setattr("repro.dist.probe.set_nodelay", spy)
+        assert probe_link_overhead(fleet[0], repeats=1) > 0.0
+        assert seen == [1]
+
+    def test_probe_link_reset_omits_the_host(self, fleet, monkeypatch):
+        def reset(conn):
+            raise ConnectionResetError("connection reset by peer")
+
+        monkeypatch.setattr("repro.dist.probe.set_nodelay", reset)
+        with pytest.raises(DistError, match="dropped"):
+            probe_link_overhead(fleet[0], repeats=1)
+        assert probe_hosts(fleet, repeats=1) == {}
+
+    @pytest.mark.parametrize(
+        "hook,real",
+        [
+            ("set_nodelay", set_nodelay),
+            ("iter_shard_blocks", iter_shard_blocks),
+        ],
+        ids=["set_nodelay", "iter_shard_blocks"],
+    )
+    def test_agent_survives_a_dropped_connection(
+        self, hook, real, monkeypatch, caplog
+    ):
+        """A peer reset right after the handshake (``set_nodelay``) or
+        mid-stream (the block generator) closes only that connection;
+        the serve loop keeps accepting."""
+        calls = []
+
+        def reset_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ConnectionResetError("connection reset by peer")
+            return real(*args)
+
+        monkeypatch.setattr(f"repro.dist.worker.{hook}", reset_once)
+        (spec,) = prepare_job(
+            EnsembleSpec(family="timeless", n_cores=N_CORES), _drive(), 1, 1
+        ).specs
+        with WorkerAgent() as agent:
+            with caplog.at_level(logging.WARNING, logger="repro.dist.worker"):
+                conn = Client(
+                    parse_address(agent.address), family="AF_INET",
+                    authkey=DEFAULT_AUTHKEY,
+                )
+                try:
+                    with pytest.raises((EOFError, OSError)):
+                        send_message(conn, (MSG_PING,))
+                        recv_message(conn, 5.0)
+                        send_message(conn, (MSG_RUN, "digest", spec))
+                        recv_message(conn, 5.0)
+                finally:
+                    conn.close()
+                # The agent closed that connection before the client
+                # saw EOF, so a dead serve loop would already be gone;
+                # checking first keeps a regression from hanging the
+                # next handshake forever.
+                agent._thread.join(0.5)
+                assert agent._thread.is_alive(), "the serve loop died"
+                assert _ping(agent.address) == (MSG_PONG, PROTOCOL_VERSION)
+        assert any(
+            "connection dropped" in record.message
+            for record in caplog.records
+        )
+
+    def test_failed_handshake_option_is_an_unreachable_host(
+        self, fleet, monkeypatch, caplog
+    ):
+        def reset(conn):
+            raise ConnectionResetError("connection reset by peer")
+
+        monkeypatch.setattr("repro.dist.dispatch.set_nodelay", reset)
+        with caplog.at_level(logging.WARNING, logger="repro.dist.dispatch"):
+            with Dispatcher(fleet) as dispatcher:
+                assert dispatcher.n_live == 0
+        assert any(
+            "failed the handshake" in record.message
+            for record in caplog.records
+        )
+
+
+@pytest.fixture
+def subprocess_fleet():
+    """Two ``python -m repro.dist.worker`` agents on ephemeral ports,
+    addresses scraped from their banner lines.  They inherit the
+    environment, so ``REPRO_BACKEND`` picks their backend too."""
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "repro.dist.worker", "--bind",
+             "127.0.0.1:0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        for _ in range(2)
+    ]
+    try:
+        prefix = "repro-dist worker listening on "
+        hosts = []
+        for proc in procs:
+            banner = proc.stdout.readline().strip()
+            assert banner.startswith(prefix), banner
+            hosts.append(banner[len(prefix):])
+        yield procs, hosts
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+
+class TestSubprocessFleet:
+    def test_bitwise_and_survives_an_agent_killed_after_handshake(
+        self, subprocess_fleet
+    ):
+        procs, hosts = subprocess_fleet
+        ensemble = EnsembleSpec(family="timeless", n_cores=12, seed=7)
+        step = float(ensemble.build_batch().driver_step_hint())
+        drive = DriveSpec(scenario="major-loop", h_max=10e3, driver_step=step)
+        serial = run_batch_series(
+            ensemble.build_batch(), drive.full_samples(ensemble.n_cores)
+        )
+
+        # Healthy fleet: both agents compute, reassembly is bitwise.
+        healthy = run_distributed(
+            ensemble, scenario="major-loop", h_max=10e3, driver_step=step,
+            hosts=hosts, n_workers=2,
+        )
+        assert_results_bitwise_equal(serial, healthy)
+
+        # Kill one agent after the handshake: its shard requeues onto
+        # the survivor and the result is still bitwise.
+        with Dispatcher(hosts, deadline_s=30.0) as dispatcher:
+            assert dispatcher.n_live == 2
+            procs[0].kill()
+            procs[0].wait(timeout=10)
+            (result,) = dispatcher.run_jobs(
+                [prepare_job(ensemble, drive, 2, 1)]
+            )
+        assert_results_bitwise_equal(serial, result)
+
+
 class TestWorkerAgent:
     def test_ping_echo_and_version(self, fleet):
-        from multiprocessing.connection import Client
-
         conn = Client(
             parse_address(fleet[0]), family="AF_INET", authkey=DEFAULT_AUTHKEY
         )
@@ -531,7 +718,6 @@ class TestWorkerAgent:
 
     def test_wrong_authkey_never_kills_the_agent(self, fleet):
         from multiprocessing import AuthenticationError
-        from multiprocessing.connection import Client
 
         with pytest.raises((AuthenticationError, OSError, EOFError)):
             conn = Client(
@@ -542,9 +728,6 @@ class TestWorkerAgent:
         assert probe_link_overhead(fleet[0], repeats=1) > 0.0
 
     def test_cli_worker_serves_a_campaign(self, tmp_path):
-        import subprocess
-        import sys
-
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.dist.worker", "--bind",
              "127.0.0.1:0"],
