@@ -7,9 +7,10 @@ connection per agent for a whole campaign), rebuilds each received
 :class:`~repro.parallel.spec.ShardSpec` into its sub-ensemble
 worker-side (never a shipped live model), executes it through the same
 :func:`repro.parallel.blocks.iter_shard_blocks` generator the local
-executor uses, and streams every lane block back as soon as it exists
-— a chunked shard never materialises its full result on either side of
-the socket.
+executor uses, and streams the result back one lane block at a time.
+The agent runs each shard once and holds its whole result while it
+streams; ``chunk_lanes`` bounds each message and the dispatcher's
+resident bytes, and the shard width bounds the agent's memory.
 
 :class:`WorkerAgent` is also usable in-process (``start()`` runs the
 accept loop on a daemon thread), which is how the test suite and the

@@ -62,3 +62,8 @@ class DistError(ReproError, RuntimeError):
 
 class DistTimeoutError(DistError):
     """A per-job deadline expired waiting on a worker connection."""
+
+
+class CacheError(ReproError, ValueError):
+    """A result-cache spill file could not be read back (truncated,
+    bit-flipped or otherwise not what the cache wrote)."""

@@ -1,15 +1,20 @@
 """Bounded lane-block streaming for shard execution.
 
-A :class:`~repro.parallel.spec.ShardSpec` normally materialises its
-whole ``(samples, width)`` result before anything downstream sees it.
-At million-lane scale that buffer is the memory ceiling, so this module
-splits a shard's *result* axis into contiguous **lane blocks**: the
-shard's sub-ensemble is built once, then each block re-shards it
-(``batch.shard(a, b)`` — a freshly reset sub-batch, bitwise per lane,
-the PR 3 guarantee) and runs only that column range.  Concatenating the
-blocks back in lane order is the same column concatenation the sharded
-executor already relies on, so chunked execution is **bitwise
-identical** to the unchunked shard run.
+A :class:`~repro.parallel.spec.ShardSpec` produces one
+``(samples, width)`` result.  This module splits that result's lane
+axis into contiguous **lane blocks** for the trip to whoever consumes
+it: the shard runs **once** (the fused kernel's per-sample cost is
+paid once, not once per block), and each block carries contiguous
+copies of its own columns and the matching slice of the per-lane
+counters.  Concatenating the blocks back in lane order is the same
+column concatenation the sharded executor already relies on, so
+chunked execution is **bitwise identical** to the unchunked shard run.
+
+``chunk_lanes`` therefore bounds what crosses a boundary at once — the
+bytes on the wire and the consumer's resident result buffers — while
+the shard width (chosen by :func:`repro.parallel.plan.plan_shards`)
+bounds the executing process's compute and memory: a worker holds its
+whole shard result while it streams, exactly as an unchunked run does.
 
 One code path serves both transports: the local executor's serial and
 pooled paths iterate the same :func:`iter_shard_blocks` generator the
@@ -36,11 +41,12 @@ class LaneBlock:
     ``[start, stop)`` of the full ensemble.
 
     Arrays are per-sample columns for exactly this lane range;
-    ``counters`` are the tiny per-lane ``(width,)`` counter arrays the
-    block's run recorded.  Blocks are self-describing (absolute lane
-    range plus payload), so writing one into a full-width output buffer
-    is idempotent — a re-dispatched shard may rewrite its blocks after
-    a worker death without corrupting anything.
+    ``counters`` are the tiny per-lane ``(width,)`` slices of the shard
+    run's counters for the same lanes.  Blocks are self-describing
+    (absolute lane range plus payload), so writing one into a
+    full-width output buffer is idempotent — a re-dispatched shard may
+    rewrite its blocks after a worker death without corrupting
+    anything.
     """
 
     start: int
@@ -98,39 +104,33 @@ def run_spec(spec: ShardSpec) -> BatchSweepResult:
     shards, which always carry ``threads=1``, explicitly pin the
     children single-threaded rather than trusting ambient state).
 
-    A spec carrying ``chunk_lanes`` runs through the block generator
-    and reassembles — bitwise identical, bounded transient buffers.
+    ``chunk_lanes`` plays no part here: it shapes how a result is
+    streamed (:func:`iter_shard_blocks`), never what is computed.
     """
     from repro.backend import thread_limit
 
-    if spec.chunk_lanes is None:
-        with thread_limit(spec.threads):
-            return run_batch_series(spec.build_batch(), spec.build_samples())
-    return assemble_blocks(spec, iter_shard_blocks(spec))
+    with thread_limit(spec.threads):
+        return run_batch_series(spec.build_batch(), spec.build_samples())
 
 
 def iter_shard_blocks(spec: ShardSpec):
     """Yield a shard's result as :class:`LaneBlock`\\ s in lane order.
 
-    The shard's sub-ensemble and its shard-local samples are built
-    **once**; every block is a fresh ``batch.shard`` slice of that
-    sub-ensemble (reset, bitwise per lane) driven over its own sample
-    columns, so at no point does a result buffer wider than
-    ``spec.chunk_lanes`` lanes exist in this process.  Each block's run
-    pins ``thread_limit(spec.threads)`` for exactly its own duration —
-    the limit never spans a ``yield``, so consumer code between blocks
-    runs under ambient threading.
+    The shard runs once through :func:`run_spec`; each
+    :func:`plan_lane_blocks` range is then yielded as a block owning
+    contiguous copies of exactly its own columns (``m``, ``b``,
+    ``updated``, every extras channel) and the ``[start, stop)`` slice
+    of each per-lane counter, so a block's ``nbytes`` and its pickled
+    size stay per-block however wide the shard is.  The whole shard
+    result stays resident in this process until the generator is
+    exhausted.  The ``thread_limit`` of the run never spans a
+    ``yield``, so consumer code between blocks runs under ambient
+    threading.
     """
-    from repro.backend import thread_limit
-
-    samples = spec.build_samples()
-    batch = spec.build_batch()
+    part = run_spec(spec)
     bounds = plan_lane_blocks(spec.start, spec.stop, spec.chunk_lanes)
     if len(bounds) == 1:
-        # Unchunked (or one-block) shards skip the re-shard: the built
-        # batch *is* the block, exactly the pre-chunking code path.
-        with thread_limit(spec.threads):
-            part = run_batch_series(batch, samples)
+        # One block is the whole run: hand its buffers over uncopied.
         yield LaneBlock(
             start=spec.start,
             stop=spec.stop,
@@ -143,49 +143,15 @@ def iter_shard_blocks(spec: ShardSpec):
         return
     for a, b in bounds:
         ra, rb = a - spec.start, b - spec.start
-        sub = batch.shard(ra, rb)
-        cols = samples if samples.ndim == 1 else samples[:, ra:rb]
-        with thread_limit(spec.threads):
-            part = run_batch_series(sub, cols)
         yield LaneBlock(
             start=a,
             stop=b,
-            m=part.m,
-            b=part.b,
-            updated=part.updated,
-            extras=part.extras,
-            counters=part.counters,
+            m=part.m[:, ra:rb].copy(),
+            b=part.b[:, ra:rb].copy(),
+            updated=part.updated[:, ra:rb].copy(),
+            extras={k: v[:, ra:rb].copy() for k, v in part.extras.items()},
+            counters={k: v[ra:rb].copy() for k, v in part.counters.items()},
         )
-
-
-def assemble_blocks(spec: ShardSpec, blocks) -> BatchSweepResult:
-    """Reassemble a shard's streamed blocks into the shard result.
-
-    Lane-order column concatenation — the executor's bitwise reassembly
-    argument, applied one level down.  ``h`` is the shard-local sample
-    array itself (what :func:`repro.batch.sweep.run_batch_series` would
-    have recorded for the unchunked run).
-    """
-    parts = list(blocks)
-    if not parts:
-        raise ParameterError(
-            f"shard [{spec.start}, {spec.stop}) streamed no blocks"
-        )
-    keys = sorted(parts[0].extras)
-    return BatchSweepResult(
-        h=np.asarray(spec.build_samples(), dtype=float),
-        m=np.concatenate([p.m for p in parts], axis=1),
-        b=np.concatenate([p.b for p in parts], axis=1),
-        updated=np.concatenate([p.updated for p in parts], axis=1),
-        extras={
-            key: np.concatenate([p.extras[key] for p in parts], axis=1)
-            for key in keys
-        },
-        counters=merge_shard_counters(
-            [p.counters for p in parts], [p.width for p in parts]
-        ),
-        family=spec.family,
-    )
 
 
 def merge_shard_counters(

@@ -248,9 +248,9 @@ def prepare_job(
     oversubscription rule before it gets here (:func:`run_sharded`
     clamps plans to ``workers x threads <= available_cpus()``).
     ``chunk_lanes`` likewise travels inside each spec: the executing
-    process streams its shard in lane blocks at most that wide
-    (:mod:`repro.parallel.blocks`) instead of materialising the whole
-    shard result at once.
+    process runs its shard once and streams the result in lane blocks
+    at most that wide (:mod:`repro.parallel.blocks`), which bounds what
+    the consumer holds per block, not the worker's own result buffer.
     """
     if is_batch_model(source):
         family, n_total = source.family, source.n_cores
@@ -344,13 +344,6 @@ def _resolve_drive(
     return drive, built
 
 
-# The shard runner itself lives in repro.parallel.blocks (one code
-# path whether a shard streams over shared memory or a repro.dist
-# socket); the historic private name stays importable for callers that
-# grew up against the executor.
-_run_spec = run_spec
-
-
 def _recorded_extras_schema(extras: "dict[str, np.ndarray]") -> tuple:
     """A shard's recorded extras as sorted ``(name, dtype-str)`` pairs —
     the shape both executor paths compare against the pre-run schema."""
@@ -404,10 +397,10 @@ def _worker(task: tuple[ShardSpec, _OutputLayout]):
 
     The shard streams through :func:`repro.parallel.blocks.
     iter_shard_blocks` — one block for an unchunked spec (the historic
-    path, unchanged), several bounded blocks when the spec carries
-    ``chunk_lanes`` — and every block's columns land in the shared
-    buffers as soon as they exist, so a chunked worker never holds more
-    than one block of result data.
+    path, unchanged), several bounded blocks sliced from the one shard
+    run when the spec carries ``chunk_lanes`` — and every block's
+    columns land in the shared buffers as it is yielded.  The worker
+    holds its whole shard result while it copies it out, chunked or not.
     """
     spec, layout = task
     attached: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}

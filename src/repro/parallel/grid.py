@@ -192,7 +192,8 @@ def run_scenario_grid(
     pins to ``backend`` (or the environment default) before lookup.
 
     ``chunk_lanes`` streams every cell's shards in bounded lane blocks
-    (:mod:`repro.parallel.blocks`) — bitwise-neutral, memory-bounded.
+    (:mod:`repro.parallel.blocks`) — bitwise-neutral; it bounds the bytes
+    a consumer holds per block, not a worker's shard result.
     ``hosts`` dispatches the whole campaign across ``"host:port"``
     :mod:`repro.dist` worker agents instead of a local pool: unique
     cells flow through one shared dispatcher (its digest-keyed dedup

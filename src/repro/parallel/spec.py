@@ -184,13 +184,15 @@ class ShardSpec:
     planner only emits ``threads > 1`` on single-shard serial plans;
     pooled shards always carry 1.
 
-    ``chunk_lanes`` selects bounded-memory execution: the executing
-    process streams the shard's result as contiguous lane blocks at
-    most this wide (:mod:`repro.parallel.blocks`) instead of
-    materialising the whole ``(samples, width)`` buffer at once.
-    ``None`` (default) keeps the one-shot path.  Chunking travels with
-    the spec — like ``threads`` — so local pools and remote
-    :mod:`repro.dist` workers honour the same bound.
+    ``chunk_lanes`` selects bounded streaming: the executing process
+    runs the shard once and streams its ``(samples, width)`` result as
+    contiguous lane blocks at most this wide
+    (:mod:`repro.parallel.blocks`), so the wire and the consumer's
+    resident buffers are bounded per block; the shard width bounds the
+    executing process's own memory.  ``None`` (default) streams one
+    block.  Chunking travels with the spec — like ``threads`` — so
+    local pools and remote :mod:`repro.dist` workers honour the same
+    bound.
 
     ShardSpecs compare by identity (``eq=False``): payloads hold
     ndarrays and engine configuration objects, for which a generated

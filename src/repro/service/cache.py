@@ -15,7 +15,10 @@ Two defensive rules keep a shared cache honest:
 * the optional disk spill is **atomic** — each entry lands as one
   ``<digest>.npz`` written to a temp file and ``os.replace``d into
   place, so a crashed writer never leaves a truncated entry a later
-  process would load.
+  process would load;
+* a spill file that fails to load anyway (truncated or bit-flipped by
+  something outside this process) is a logged **miss**: the file is
+  deleted and the caller recomputes, never a foreign exception.
 
 The spill directory (conventionally ``results/cache/``) makes warm
 state survive the process: a fresh service finds yesterday's grid
@@ -25,19 +28,39 @@ persist until :meth:`ResultCache.clear` removes them.
 
 from __future__ import annotations
 
+import logging
 import os
 import tempfile
 import threading
+import zipfile
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
 from repro.batch.sweep import BatchSweepResult
-from repro.errors import ParameterError
+from repro.errors import CacheError, ParameterError
 
 _EXTRA_PREFIX = "extra__"
 _COUNTER_PREFIX = "counter__"
+_FIXED_KEYS = frozenset({"h", "m", "b", "updated", "family"})
+
+#: What ``np.load`` raises on a damaged ``.npz``: a truncated or
+#: bit-flipped archive surfaces from zipfile, zlib or numpy's ``.npy``
+#: header parser depending on which byte was hit.
+_CORRUPT_SPILL_ERRORS = (
+    OSError,
+    EOFError,
+    ValueError,
+    KeyError,
+    RuntimeError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
+
+_log = logging.getLogger(__name__)
 
 
 def _frozen(result: BatchSweepResult) -> BatchSweepResult:
@@ -95,24 +118,41 @@ def save_result(path: Path, result: BatchSweepResult) -> None:
 
 def load_result(path: Path) -> BatchSweepResult:
     """Load one spilled result; dtypes round-trip exactly (``savez``
-    stores raw array bytes, so a disk hit stays byte-identical)."""
-    with np.load(path) as npz:
-        extras = {}
-        counters = {}
-        for key in npz.files:
-            if key.startswith(_EXTRA_PREFIX):
-                extras[key[len(_EXTRA_PREFIX):]] = npz[key]
-            elif key.startswith(_COUNTER_PREFIX):
-                counters[key[len(_COUNTER_PREFIX):]] = npz[key]
-        return BatchSweepResult(
-            h=npz["h"],
-            m=npz["m"],
-            b=npz["b"],
-            updated=npz["updated"],
-            extras=extras,
-            counters=counters,
-            family=str(npz["family"].item()),
-        )
+    stores raw array bytes, so a disk hit stays byte-identical).
+
+    A file that fails to load raises :class:`~repro.errors.CacheError`,
+    and so does one holding a member :func:`save_result` never writes
+    (a flipped bit in the archive's directory), rather than silently
+    dropping that channel.
+    """
+    try:
+        with np.load(path) as npz:
+            extras = {}
+            counters = {}
+            stray = []
+            for key in npz.files:
+                if key.startswith(_EXTRA_PREFIX):
+                    extras[key[len(_EXTRA_PREFIX):]] = npz[key]
+                elif key.startswith(_COUNTER_PREFIX):
+                    counters[key[len(_COUNTER_PREFIX):]] = npz[key]
+                elif key not in _FIXED_KEYS:
+                    stray.append(key)
+            result = BatchSweepResult(
+                h=npz["h"],
+                m=npz["m"],
+                b=npz["b"],
+                updated=npz["updated"],
+                extras=extras,
+                counters=counters,
+                family=str(npz["family"].item()),
+            )
+    except _CORRUPT_SPILL_ERRORS as exc:
+        raise CacheError(
+            f"cache spill {path} is unreadable: {type(exc).__name__}: {exc}"
+        ) from exc
+    if stray:
+        raise CacheError(f"cache spill {path} has stray members {stray}")
+    return result
 
 
 class ResultCache:
@@ -156,7 +196,8 @@ class ResultCache:
         return self.spill_dir / f"{key}.npz"
 
     def get(self, key: str) -> "BatchSweepResult | None":
-        """The cached result for one digest, or ``None`` on a miss."""
+        """The cached result for one digest, or ``None`` on a miss (a
+        spill file that fails to load is deleted and counts as one)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -166,12 +207,17 @@ class ResultCache:
         if self.spill_dir is not None:
             path = self._spill_path(key)
             if path.exists():
-                result = _frozen(load_result(path))
-                with self._lock:
-                    self._insert(key, result)
-                    self.hits += 1
-                    self.disk_hits += 1
-                return result
+                try:
+                    result = _frozen(load_result(path))
+                except CacheError as exc:
+                    _log.warning("%s; deleting it and counting a miss", exc)
+                    path.unlink(missing_ok=True)
+                else:
+                    with self._lock:
+                        self._insert(key, result)
+                        self.hits += 1
+                        self.disk_hits += 1
+                    return result
         with self._lock:
             self.misses += 1
         return None

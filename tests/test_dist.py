@@ -11,6 +11,7 @@ numerics change.
 
 import dataclasses
 import logging
+import pickle
 import socket
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from multiprocessing.connection import Client
 import numpy as np
 import pytest
 
-from repro.batch.sweep import run_batch_series
+from repro.batch.sweep import BatchSweepResult, run_batch_series
 from repro.dist import (
     DEFAULT_AUTHKEY,
     PROTOCOL_VERSION,
@@ -50,7 +51,8 @@ from repro.parallel import (
     run_scenario_grid,
     run_sharded,
 )
-from repro.parallel.blocks import assemble_blocks, run_spec
+from repro.parallel import blocks as blocks_module
+from repro.parallel.blocks import merge_shard_counters, run_spec
 from repro.parallel.executor import prepare_job
 from repro.parallel.spec import DriveSpec
 from repro.sched import CostModel, ExecutionPlan, enumerate_candidates
@@ -127,9 +129,80 @@ class TestLaneBlocks:
             chunk_lanes=chunk_lanes,
         )
         (spec,) = job.specs
-        reassembled = assemble_blocks(spec, iter_shard_blocks(spec))
+        parts = list(iter_shard_blocks(spec))
+        reassembled = BatchSweepResult(
+            h=spec.build_samples(),
+            m=np.concatenate([p.m for p in parts], axis=1),
+            b=np.concatenate([p.b for p in parts], axis=1),
+            updated=np.concatenate([p.updated for p in parts], axis=1),
+            extras={
+                key: np.concatenate([p.extras[key] for p in parts], axis=1)
+                for key in parts[0].extras
+            },
+            counters=merge_shard_counters(
+                [p.counters for p in parts], [p.width for p in parts]
+            ),
+            family=spec.family,
+        )
         assert_results_bitwise_equal(reference_result(), reassembled)
         assert_results_bitwise_equal(reference_result(), run_spec(spec))
+
+    @pytest.mark.parametrize("family", ["timeless", "preisach", "time-domain"])
+    def test_chunked_shard_runs_once_and_yields_owned_blocks(
+        self, family, monkeypatch
+    ):
+        """One kernel run per shard, however many blocks it streams,
+        and every block owns exactly its own lanes' bytes."""
+        ensemble = EnsembleSpec(family=family, n_cores=N_CORES)
+        job = prepare_job(ensemble, _drive(), 2, 1, chunk_lanes=2)
+        spec = job.specs[0]
+        assert spec.width > 2  # several blocks per shard
+        whole = run_spec(dataclasses.replace(spec, chunk_lanes=None))
+
+        calls = []
+        real = blocks_module.run_batch_series
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(blocks_module, "run_batch_series", counting)
+        blocks = list(iter_shard_blocks(spec))
+        assert len(calls) == 1
+        assert [(blk.start, blk.stop) for blk in blocks] == plan_lane_blocks(
+            spec.start, spec.stop, 2
+        )
+
+        samples = whole.m.shape[0]
+        for blk in blocks:
+            ra, rb = blk.start - spec.start, blk.stop - spec.start
+            columns = {"m": blk.m, "b": blk.b, "updated": blk.updated}
+            columns.update(
+                (f"extras.{key}", value) for key, value in blk.extras.items()
+            )
+            expected_nbytes = 0
+            for name, arr in columns.items():
+                assert arr.shape == (samples, blk.width), name
+                assert arr.flags.c_contiguous and arr.base is None, name
+                expected_nbytes += arr.size * arr.itemsize
+            assert sorted(blk.extras) == sorted(whole.extras)
+            assert sorted(blk.counters) == sorted(whole.counters)
+            for key, counter in blk.counters.items():
+                assert counter.shape == (blk.width,), key
+                assert counter.base is None, key
+                assert np.array_equal(counter, whole.counters[key][ra:rb]), key
+                expected_nbytes += counter.nbytes
+            assert np.array_equal(blk.m, whole.m[:, ra:rb], equal_nan=True)
+            assert np.array_equal(blk.updated, whole.updated[:, ra:rb])
+            for key, value in blk.extras.items():
+                assert np.array_equal(
+                    value, whole.extras[key][:, ra:rb], equal_nan=True
+                ), key
+            assert blk.nbytes == expected_nbytes
+            # What a worker sends is this block's bytes plus a small
+            # fixed framing, never the rest of the shard.
+            wire = len(pickle.dumps(blk))
+            assert blk.nbytes <= wire <= blk.nbytes + 4096
 
     def test_budget_tracks_peak_and_rejects_oversize(self):
         budget = BlockBudget(100)

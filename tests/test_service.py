@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.batch.sweep import run_batch_series
-from repro.errors import ParameterError
+from repro.errors import CacheError, ParameterError
 from repro.experiments import run_experiment
 from repro.models.registry import get_family, list_families
 from repro.parallel.executor import run_sharded
@@ -235,6 +235,61 @@ class TestResultCache:
         with pytest.raises(ParameterError, match="max_entries"):
             ResultCache(max_entries=0)
 
+    def _spilled(self, tmp_path):
+        key, result = self._result()
+        ResultCache(spill_dir=tmp_path).put(key, result)
+        path = tmp_path / f"{key}.npz"
+        assert path.exists()
+        return key, result, path
+
+    def _assert_typed_miss(self, tmp_path, key, path, caplog):
+        """A damaged spill fails to load with a typed error, and the
+        cache turns that into a logged miss that deletes the file."""
+        with pytest.raises(CacheError):
+            load_result(path)
+        fresh = ResultCache(spill_dir=tmp_path)
+        with caplog.at_level("WARNING", logger="repro.service.cache"):
+            assert fresh.get(key) is None
+        assert fresh.stats["misses"] == 1
+        assert fresh.stats["hits"] == fresh.stats["disk_hits"] == 0
+        assert not path.exists()
+        assert "deleting it and counting a miss" in caplog.text
+
+    @pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.999])
+    def test_truncated_spill_is_a_logged_miss(self, tmp_path, caplog, keep):
+        key, result, path = self._spilled(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: int(len(raw) * keep)])
+        self._assert_typed_miss(tmp_path, key, path, caplog)
+
+        # The service then recomputes and re-spills a good entry.
+        ResultCache(spill_dir=tmp_path).put(key, result)
+        served = ResultCache(spill_dir=tmp_path).get(key)
+        assert_bitwise(result, served)
+
+    def test_bit_flipped_spill_is_a_logged_miss(self, tmp_path, caplog):
+        import zipfile
+
+        key, _, path = self._spilled(tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("m.npy")
+        # One bit in the middle of the m column's compressed bytes: past
+        # the 30-byte local header, its name and any extra field.
+        data_start = info.header_offset + 30 + len(info.filename)
+        data_start += len(info.extra)
+        raw = bytearray(path.read_bytes())
+        raw[data_start + info.compress_size // 2] ^= 0x10
+        path.write_bytes(bytes(raw))
+        self._assert_typed_miss(tmp_path, key, path, caplog)
+
+    def test_unknown_spill_member_is_a_logged_miss(self, tmp_path, caplog):
+        key, result, path = self._spilled(tmp_path)
+        with np.load(path) as npz:
+            payload = {name: npz[name] for name in npz.files}
+        payload["extra_m_an"] = payload.pop("extra__m_an")
+        np.savez_compressed(path, **payload)
+        self._assert_typed_miss(tmp_path, key, path, caplog)
+
 
 class TestHysteresisService:
     @pytest.mark.parametrize("family_name", FAMILY_NAMES)
@@ -339,6 +394,30 @@ class TestHysteresisService:
             served = second.run(spec, drive)
             assert second.cache.stats["disk_hits"] == 1
         assert_bitwise(computed, served)
+
+
+class TestServiceSmoke:
+    def test_second_submission_is_the_cached_first(self):
+        """Two submissions through the async front door: the second is
+        the first's frozen cache entry, and a numba-resolved service
+        pre-compiles its fused kernels before it forks."""
+        from repro.backend import resolve_backend
+
+        spec = EnsembleSpec(family="timeless", n_cores=16, seed=1)
+        step = float(spec.build_batch().driver_step_hint())
+        drive = DriveSpec(scenario="major-loop", h_max=10e3, driver_step=step)
+        with HysteresisService() as service:
+            if resolve_backend(None).name == "numba":
+                assert service.pool.warmed, "numba must pre-warm kernels"
+
+            async def twice():
+                first = await service.submit(spec, drive)
+                second = await service.submit(spec, drive)
+                return first, second
+
+            first, second = asyncio.run(twice())
+        assert second is first, "second submission must be a cache hit"
+        assert service.cache.stats["hits"] >= 1, service.cache.stats
 
 
 class TestGridDedupe:
